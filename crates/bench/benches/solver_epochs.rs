@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_sim::{Gpu, GpuProfile};
 use scd_bench::figdata::webspam_fig_small;
 use scd_core::{
-    extensions::{ElasticNetCd, LogisticSdca, SdcaSvm},
-    AsyScd, AsyncSimScd, Form, SequentialScd, Solver, TpaScd,
+    extensions::ElasticNetCd, AsyScd, AsyncSimScd, Form, ObjectiveKind, SequentialScd, Solver,
+    TpaScd,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -60,18 +60,12 @@ fn bench_extension_epochs(c: &mut Criterion) {
         })
     });
     group.bench_function("sdca_svm", |b| {
-        let mut s = SdcaSvm::new(&problem, 1);
-        b.iter(|| {
-            s.epoch(&problem);
-            black_box(())
-        })
+        let mut s = SequentialScd::dual(&problem, 1).with_objective(ObjectiveKind::Svm);
+        b.iter(|| black_box(s.epoch(&problem)))
     });
     group.bench_function("sdca_logistic", |b| {
-        let mut s = LogisticSdca::new(&problem, 1);
-        b.iter(|| {
-            s.epoch(&problem);
-            black_box(())
-        })
+        let mut s = SequentialScd::dual(&problem, 1).with_objective(ObjectiveKind::Logistic);
+        b.iter(|| black_box(s.epoch(&problem)))
     });
     group.finish();
 }

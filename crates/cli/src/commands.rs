@@ -15,7 +15,7 @@ use scd_datasets::{criteo_like, dense_gaussian, scale_values, webspam_like, Data
 use scd_datasets::{CriteoSpec, WebspamStreamSpec};
 use scd_distributed::{
     Aggregation, AsyncScd, DistributedConfig, DistributedScd, FaultPlan, LocalSolverKind,
-    ParamServerConfig, ParamServerScd, PartitionStrategy, RoundRuntime, Staleness, WireFormat,
+    PartitionStrategy, RoundRuntime, Staleness, WireFormat,
 };
 use scd_serve::json::{escape, Json};
 use scd_serve::{respond, BatchScorer, ModelSlot, Response, Scored};
@@ -146,11 +146,12 @@ SERVE OPTIONS (JSON-lines session: one request per stdin line, one response
 per stdout line; ops: {{\"op\":\"info\"}}, {{\"op\":\"score\",\"rows\":[[[idx,val],..],..]}},
 and — when serving from --model — {{\"op\":\"reload\"}} to hot-swap from disk):
   --model F         serve a saved model file
-  --train-data P    train live while serving: a parameter server publishes
-                    into the serving slot at every round boundary
+  --train-data P    train live while serving: the synchronous cluster of
+                    `scd train --workers K` publishes into the serving slot
+                    at every round boundary
   --objective O     ridge|logistic|svm|lasso      (live mode; default ridge)
   --lambda L        regularization                (live mode; default 0.001)
-  --workers K       parameter-server workers      (live mode; default 4)
+  --workers K       cluster workers               (live mode; default 4)
   --epochs E        training rounds to publish    (live mode; default 50)
   --features M      feature width of a LIBSVM --train-data file
   --seed S          RNG seed                      (live mode; default 1)
@@ -164,17 +165,65 @@ SCORE OPTIONS (batch mode: one JSON line per row, then a JSON summary line):
     );
 }
 
-fn load(args: &Args) -> Result<LabelledData, String> {
-    let path = args.require("data").map_err(|e| e.to_string())?;
-    let features = args
-        .get("features")
+/// `--features M` if given: the width a LIBSVM file is read at.
+fn features_flag(args: &Args) -> Result<Option<usize>, String> {
+    args.get("features")
         .map(|v| {
             v.parse::<usize>()
                 .map_err(|_| format!("--features {v:?}: expected integer"))
         })
-        .transpose()?;
+        .transpose()
+}
+
+fn read_libsvm_file(path: &str, features: Option<usize>) -> Result<LabelledData, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     read_libsvm(file, features).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+fn load(args: &Args) -> Result<LabelledData, String> {
+    let path = args.require("data").map_err(|e| e.to_string())?;
+    read_libsvm_file(path, features_flag(args)?)
+}
+
+/// The open store when `path` is a `scd shard gen` directory, `None`
+/// when it is a LIBSVM file.
+fn open_if_store(args: &Args, path: &str) -> Result<Option<ShardedDataset>, String> {
+    if !Path::new(path).is_dir() {
+        return Ok(None);
+    }
+    if args.get("features").is_some() {
+        return Err("--features applies to LIBSVM files, not shard directories".into());
+    }
+    open_store(path).map(Some)
+}
+
+/// A LIBSVM file or a shard directory (loaded whole) as a problem, with
+/// the open store, if any, and a one-line description of the data.
+fn load_problem(
+    args: &Args,
+    path: &str,
+    lambda: f64,
+) -> Result<(RidgeProblem, Option<ShardedDataset>, String), String> {
+    match open_if_store(args, path)? {
+        Some(store) => {
+            let (csr, labels) = store.load_all().map_err(|e| format!("cannot load {path}: {e}"))?;
+            let summary = format!(
+                "sharded N={} M={} nnz={} chunks={}",
+                store.rows(),
+                store.cols(),
+                store.nnz(),
+                store.num_shards()
+            );
+            let problem = RidgeProblem::new(csr, labels, lambda).map_err(|e| e.to_string())?;
+            Ok((problem, Some(store), summary))
+        }
+        None => {
+            let data = read_libsvm_file(path, features_flag(args)?)?;
+            let summary = DatasetStats::of(&data).to_string();
+            let problem = RidgeProblem::from_labelled(&data, lambda).map_err(|e| e.to_string())?;
+            Ok((problem, None, summary))
+        }
+    }
 }
 
 /// `scd generate`: write a synthetic dataset in LIBSVM format.
@@ -529,6 +578,43 @@ fn local_solver_kind(args: &Args) -> Result<LocalSolverKind, String> {
     })
 }
 
+/// The `--workers K` cluster. `scd train` and `scd serve --train-data`
+/// both build it here, so a live session publishes exactly the rounds
+/// `scd train` runs.
+fn cluster_config(
+    args: &Args,
+    workers: usize,
+    form: Form,
+    objective: ObjectiveKind,
+    seed: u64,
+    store_backed: bool,
+) -> Result<DistributedConfig, String> {
+    let round_threads = args
+        .get_or("round-threads", 0usize, "integer")
+        .map_err(|e| e.to_string())?;
+    let config = DistributedConfig::new(workers, form)
+        .with_objective(objective)
+        .with_aggregation(parse_aggregation(args)?)
+        .with_solver(local_solver_kind(args)?)
+        .with_runtime(RoundRuntime::Concurrent {
+            threads: round_threads,
+        })
+        .with_fault(parse_fault(args)?)
+        .with_wire(parse_wire(args)?)
+        .with_seed(seed);
+    // Shard directories are row-major on disk, so store-backed clusters
+    // default to the contiguous strategy they require.
+    let strategy = match parse_partition(args, &config)? {
+        Some(s) => Some(s),
+        None if store_backed => Some(PartitionStrategy::Contiguous),
+        None => None,
+    };
+    Ok(match strategy {
+        Some(strategy) => config.with_strategy(strategy),
+        None => config,
+    })
+}
+
 /// `scd train`.
 pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     args.check_known(&[
@@ -566,36 +652,8 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let seed = args.get_or("seed", 1u64, "integer").map_err(|e| e.to_string())?;
     // `--data` names either a LIBSVM file or a `scd shard gen` directory.
     let data_path = args.require("data").map_err(|e| e.to_string())?;
-    let store = if Path::new(data_path).is_dir() {
-        if args.get("features").is_some() {
-            return Err("--features applies to LIBSVM files, not shard directories".into());
-        }
-        Some(open_store(data_path)?)
-    } else {
-        None
-    };
-    let problem = match &store {
-        Some(store) => {
-            let (csr, labels) = store
-                .load_all()
-                .map_err(|e| format!("cannot load {data_path}: {e}"))?;
-            writeln!(
-                out,
-                "data: sharded N={} M={} nnz={} chunks={}",
-                store.rows(),
-                store.cols(),
-                store.nnz(),
-                store.num_shards()
-            )
-            .map_err(|e| e.to_string())?;
-            RidgeProblem::new(csr, labels, lambda).map_err(|e| e.to_string())?
-        }
-        None => {
-            let data = load(args)?;
-            writeln!(out, "data: {}", DatasetStats::of(&data)).map_err(|e| e.to_string())?;
-            RidgeProblem::from_labelled(&data, lambda).map_err(|e| e.to_string())?
-        }
-    };
+    let (problem, store, summary) = load_problem(args, data_path, lambda)?;
+    writeln!(out, "data: {summary}").map_err(|e| e.to_string())?;
 
     let objective_name = args.get("objective").unwrap_or("ridge");
     if args.get("l1-ratio").is_some() && objective_name != "elastic-net" {
@@ -644,29 +702,7 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         return Err("--partition needs --workers > 1".into());
     }
     if workers > 1 {
-        let round_threads = args
-            .get_or("round-threads", 0usize, "integer")
-            .map_err(|e| e.to_string())?;
-        let mut config = DistributedConfig::new(workers, form)
-            .with_objective(objective)
-            .with_aggregation(parse_aggregation(args)?)
-            .with_solver(local_solver_kind(args)?)
-            .with_runtime(RoundRuntime::Concurrent {
-                threads: round_threads,
-            })
-            .with_fault(parse_fault(args)?)
-            .with_wire(parse_wire(args)?)
-            .with_seed(seed);
-        // Shard directories are row-major on disk, so store-backed
-        // clusters default to the contiguous strategy they require.
-        let strategy = match parse_partition(args, &config)? {
-            Some(s) => Some(s),
-            None if store.is_some() => Some(PartitionStrategy::Contiguous),
-            None => None,
-        };
-        if let Some(strategy) = strategy {
-            config = config.with_strategy(strategy);
-        }
+        let config = cluster_config(args, workers, form, objective, seed, store.is_some())?;
         // --staleness implies the event runtime; --runtime sync is
         // the lock-step barrier driver.
         let runtime = args.get("runtime").unwrap_or(if args.get("staleness").is_some() {
@@ -896,8 +932,8 @@ fn load_model(path: &str) -> Result<TrainedModel, String> {
 /// `scd serve`: a JSON-lines scoring session — requests on stdin, one
 /// response per line on stdout. Either serves a saved `--model` file
 /// (with `{"op":"reload"}` hot swap from disk) or trains live from
-/// `--train-data`, with a parameter server publishing into the serving
-/// slot at every round boundary.
+/// `--train-data`, with the synchronous cluster publishing into the
+/// serving slot at every round boundary.
 pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     args.check_known(&[
         "model", "train-data", "features", "objective", "lambda", "workers", "epochs", "seed",
@@ -1009,10 +1045,11 @@ fn reload(reload_from: Option<&str>, slot: &ModelSlot) -> Response {
     }
 }
 
-/// `scd serve --train-data`: hot model swap under load. A parameter
-/// server trains in a background thread and publishes the assembled
-/// model at every round boundary; the foreground session scores against
-/// whatever round is current (`model_seq` in each response names it).
+/// `scd serve --train-data`: hot model swap under load. The cluster
+/// `scd train --workers K` runs trains in a background thread and
+/// publishes the model `--save-model` would write at every round
+/// boundary; the foreground session scores against whatever round is
+/// current (`model_seq` in each response names it).
 fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let lambda = args.get_or("lambda", 1e-3f64, "number").map_err(|e| e.to_string())?;
     let epochs = args.get_or("epochs", 50usize, "integer").map_err(|e| e.to_string())?.max(1);
@@ -1026,48 +1063,28 @@ fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String
         format!("serve trains --objective ridge|logistic|svm|lasso, not {objective_name:?}")
     })?;
     let form = objective.default_form();
-    let problem = if Path::new(path).is_dir() {
-        if args.get("features").is_some() {
-            return Err("--features applies to LIBSVM files, not shard directories".into());
-        }
-        let store = open_store(path)?;
-        let (csr, labels) = store.load_all().map_err(|e| format!("cannot load {path}: {e}"))?;
-        RidgeProblem::new(csr, labels, lambda).map_err(|e| e.to_string())?
-    } else {
-        let features = args
-            .get("features")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("--features {v:?}: expected integer"))
-            })
-            .transpose()?;
-        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let data = read_libsvm(file, features).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        RidgeProblem::from_labelled(&data, lambda).map_err(|e| e.to_string())?
-    };
+    let (problem, store, summary) = load_problem(args, path, lambda)?;
     objective.validate(&problem, form).map_err(|e| e.to_string())?;
+    // Shards are already in memory, so the cluster partitions them there:
+    // primal objectives serve from shard directories too, and for dual
+    // ones the in-memory cluster is bit-identical to the store-mapped one.
+    let config = cluster_config(args, workers, form, objective, seed, store.is_some())?;
+    let mut cluster = DistributedScd::new(&problem, &config).map_err(|e| e.to_string())?;
     let problem = Arc::new(problem);
     let slot = Arc::new(ModelSlot::new(problem.m()));
-    let trainer = {
+    {
         let problem = Arc::clone(&problem);
         let slot = Arc::clone(&slot);
-        let config = ParamServerConfig::new(workers, form)
-            .with_objective(objective)
-            .with_seed(seed);
+        cluster.set_round_observer(Box::new(move |_round, weights| {
+            let model = TrainedModel::from_weights(&problem, objective, form, weights.to_vec());
+            slot.publish(objective, model.lambda, &model.beta);
+        }));
+    }
+    let trainer = {
+        let problem = Arc::clone(&problem);
         std::thread::spawn(move || {
-            let mut server = ParamServerScd::new(&problem, &config);
-            let observer_problem = Arc::clone(&problem);
-            server.set_round_observer(Box::new(move |_round, weights| {
-                // The observer hands over native-form weights; dual
-                // iterates go through the objective's optimality mapping.
-                let beta = match form {
-                    Form::Primal => weights.to_vec(),
-                    Form::Dual => objective.induced_primal(&observer_problem, weights),
-                };
-                slot.publish(objective, observer_problem.lambda(), &beta);
-            }));
             for _ in 0..epochs {
-                server.epoch(&problem);
+                cluster.epoch(&problem);
             }
         })
     };
@@ -1077,7 +1094,7 @@ fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     eprintln!(
-        "serving live: {} objective, {workers}-worker parameter server publishing {epochs} rounds",
+        "serving live: {} objective on {summary}, {workers}-worker cluster publishing {epochs} rounds",
         objective.label()
     );
     let result = serve_session(&slot, None, out);
@@ -1154,11 +1171,7 @@ pub fn score(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         Ok(())
     };
 
-    if Path::new(data_path).is_dir() {
-        if args.get("features").is_some() {
-            return Err("--features applies to LIBSVM files, not shard directories".into());
-        }
-        let store = open_store(data_path)?;
+    if let Some(store) = open_if_store(args, data_path)? {
         if store.cols() > model.features() {
             return Err(format!(
                 "feature-space mismatch: model has {} features, shards are {} wide",
@@ -1177,13 +1190,7 @@ pub fn score(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             start = end;
         }
     } else {
-        let data = if args.get("features").is_some() {
-            load(args)?
-        } else {
-            let f = File::open(data_path).map_err(|e| format!("cannot open {data_path}: {e}"))?;
-            read_libsvm(f, Some(model.features()))
-                .map_err(|e| format!("cannot parse {data_path}: {e}"))?
-        };
+        let data = read_libsvm_file(data_path, features_flag(args)?.or(Some(model.features())))?;
         let csr = data.matrix.to_csr();
         let total = csr.rows().min(limit);
         let mut start = 0usize;
@@ -1228,14 +1235,8 @@ pub fn predict(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let model_path = args.require("model").map_err(|e| e.to_string())?;
     let model = load_model(model_path)?;
     // Score against the model's feature space unless overridden.
-    let data = if args.get("features").is_some() {
-        load(args)?
-    } else {
-        let path = args.require("data").map_err(|e| e.to_string())?;
-        let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        read_libsvm(f, Some(model.features()))
-            .map_err(|e| format!("cannot parse {path}: {e}"))?
-    };
+    let path = args.require("data").map_err(|e| e.to_string())?;
+    let data = read_libsvm_file(path, features_flag(args)?.or(Some(model.features())))?;
     let csr = data.matrix.to_csr();
     let binary = data.labels.iter().all(|&y| y == 1.0 || y == -1.0);
     writeln!(

@@ -39,15 +39,40 @@ impl Session {
         Session { child, reader }
     }
 
-    /// Send one request line, read one response line, parse it as JSON.
-    fn request(&mut self, line: &str) -> Json {
+    /// Send one request line and read one response line, unparsed.
+    fn request_line(&mut self, line: &str) -> String {
         let stdin = self.child.stdin.as_mut().expect("stdin piped");
         writeln!(stdin, "{line}").expect("request written");
         stdin.flush().expect("request flushed");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("response read");
         assert!(response.ends_with('\n'), "response not a full line: {response:?}");
-        Json::parse(response.trim()).unwrap_or_else(|e| panic!("bad JSON {response:?}: {e}"))
+        response.trim_end().to_string()
+    }
+
+    /// Send one request line, read one response line, parse it as JSON.
+    fn request(&mut self, line: &str) -> Json {
+        let response = self.request_line(line);
+        Json::parse(&response).unwrap_or_else(|e| panic!("bad JSON {response:?}: {e}"))
+    }
+
+    /// Poll `info` until the slot holds snapshot `target`, checking the
+    /// sequence never runs backwards or past it on the way.
+    fn wait_for_seq(&mut self, target: u64) {
+        let mut last = 0u64;
+        for _ in 0..10_000 {
+            let info = self.request("{\"op\":\"info\"}");
+            assert_eq!(info.get("ok"), Some(&Json::Bool(true)));
+            let seq = seq_of(&info);
+            assert!(seq >= 1, "serving started before the first publish");
+            assert!(seq >= last, "model_seq went backwards: {last} -> {seq}");
+            assert!(seq <= target, "more publishes than rounds: {seq}");
+            last = seq;
+            if seq == target {
+                return;
+            }
+        }
+        panic!("never observed snapshot {target} (last {last})");
     }
 
     /// Close stdin and wait for a clean exit.
@@ -179,22 +204,9 @@ fn live_training_publishes_rounds_into_the_session() {
         "serve", "--train-data", data.to_str().unwrap(), "--workers", "2", "--epochs", "8",
         "--lambda", "0.01", "--seed", "7",
     ]);
-    // The parameter server publishes one snapshot per round; info must
-    // report a monotone sequence that ends at the final round.
-    let mut last = 0u64;
-    for _ in 0..10_000 {
-        let info = session.request("{\"op\":\"info\"}");
-        assert_eq!(info.get("ok"), Some(&Json::Bool(true)));
-        let seq = seq_of(&info);
-        assert!(seq >= 1, "serving started before the first publish");
-        assert!(seq >= last, "model_seq went backwards: {last} -> {seq}");
-        assert!(seq <= ROUNDS, "more publishes than rounds: {seq}");
-        last = seq;
-        if seq == ROUNDS {
-            break;
-        }
-    }
-    assert_eq!(last, ROUNDS, "never observed the final round's model");
+    // The cluster publishes one snapshot per round; info must report a
+    // monotone sequence that ends at the final round.
+    session.wait_for_seq(ROUNDS);
 
     // Scoring works against the final snapshot.
     let scored = session.request("{\"op\":\"score\",\"rows\":[[[0,1.0]]]}");
@@ -254,4 +266,51 @@ fn score_streams_a_shard_directory_in_batches() {
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&model).ok();
+}
+
+#[test]
+fn live_session_serves_the_model_scd_train_saves() {
+    // `serve --train-data` runs the cluster `train --workers K` runs: its
+    // final snapshot must score a row exactly as the saved model does.
+    let data = tmp("same_data.svm");
+    let out = scd(&[
+        "generate", "--kind", "webspam", "--rows", "150", "--cols", "60", "--nnz-per-row", "6",
+        "--scale", "0.3", "--output", data.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let row = "{\"op\":\"score\",\"rows\":[[[0,1.0],[5,-2.0],[37,0.5]]]}";
+    for objective in ["ridge", "svm"] {
+        let common = [
+            "--objective", objective, "--workers", "2", "--epochs", "8", "--lambda", "0.01",
+            "--seed", "7",
+        ];
+        let mut live_args = vec!["serve", "--train-data", data.to_str().unwrap()];
+        live_args.extend_from_slice(&common);
+        let mut live = Session::spawn(&live_args);
+        live.wait_for_seq(8);
+        let live_line = live.request_line(row);
+        live.close();
+
+        let model = tmp(&format!("same_{objective}_model.txt"));
+        let mut train_args = vec![
+            "train", "--data", data.to_str().unwrap(), "--save-model", model.to_str().unwrap(),
+        ];
+        train_args.extend_from_slice(&common);
+        let out = scd(&train_args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let mut saved = Session::spawn(&["serve", "--model", model.to_str().unwrap()]);
+        let saved_line = saved.request_line(row);
+        saved.close();
+
+        // Only the snapshot number may differ: round 8 live, the file's
+        // first publish offline.
+        assert!(live_line.contains("\"model_seq\":8,"), "{live_line}");
+        assert_eq!(
+            live_line.replacen("\"model_seq\":8,", "\"model_seq\":1,", 1),
+            saved_line,
+            "{objective}: live and saved models score differently"
+        );
+        std::fs::remove_file(&model).ok();
+    }
+    std::fs::remove_file(&data).ok();
 }

@@ -1,22 +1,15 @@
-//! Beyond ridge: the other problems the paper points at.
+//! Beyond the per-coordinate Objective layer.
 //!
 //! §I: "stochastic coordinate methods are used in the field of machine
 //! learning to solve other problems such as regression with elastic net
-//! regularization as well as support vector machines." These modules carry
-//! the same coordinate-descent machinery to those objectives:
+//! regularization as well as support vector machines." The hinge-loss SVM
+//! and logistic regression run on every engine through
+//! [`crate::ObjectiveKind`]; what remains here is the one problem whose
+//! compound prox has no `Objective` implementation yet:
 //!
 //! * [`elastic_net`] — coordinate descent with soft-thresholding for
 //!   L1+L2-regularized least squares (the lasso at ρ=1, ridge at ρ=0).
-//! * [`svm`] — stochastic dual coordinate ascent for the hinge-loss SVM
-//!   (Shalev-Shwartz & Zhang [9], the same reference the paper's dual
-//!   update rule builds on).
-//! * [`logistic`] — SDCA for L2-regularized logistic regression; the
-//!   coordinate subproblem has no closed form and is solved by bisection.
 
 pub mod elastic_net;
-pub mod logistic;
-pub mod svm;
 
 pub use elastic_net::ElasticNetCd;
-pub use logistic::LogisticSdca;
-pub use svm::SdcaSvm;

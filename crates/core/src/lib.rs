@@ -26,7 +26,8 @@
 //!   ground.
 //! * [`model`] — trained-model persistence and inference.
 //! * [`path`] — warm-started regularization paths over a λ grid [4].
-//! * [`extensions`] — elastic net and SVM, the other problems §I names.
+//! * [`extensions`] — elastic net, the one problem §I names that has no
+//!   [`ObjectiveKind`] yet.
 
 pub mod aggregation;
 pub mod async_cpu;

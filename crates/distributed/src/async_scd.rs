@@ -21,9 +21,12 @@
 //!   single delta, with averaging still damping by 1/K), so fast workers
 //!   overlap their communication with slow workers' compute.
 //! * **τ = ∞** — a true event-driven parameter server: nothing gates a
-//!   worker but its own round-trip latency. This supersedes the
-//!   round-robin approximation in [`crate::param_server`] — deltas land
-//!   in simulated-arrival order, not in a fixed interleave.
+//!   worker but its own round-trip latency, and deltas land in
+//!   simulated-arrival order. With [`Aggregation::Adding`] (γ = 1,
+//!   additive pushes) and
+//!   [`DistributedConfig::with_local_updates_per_round`] setting the push
+//!   granularity, this is the asynchronous parameter-server scheme of
+//!   Li et al. [6] that the paper argues against in §I.
 //!
 //! ### Clock model
 //!
@@ -368,6 +371,7 @@ impl AsyncScd {
         let mut delta = vec![0.0f32; len];
         let mut scalars = Vec::with_capacity(k);
         let mut survivors = Vec::with_capacity(k);
+        let mut survivor_updates = 0;
         for wid in 0..k {
             let push = self.bucket[wid].take().expect("barrier bucket complete");
             if push.dropped {
@@ -381,6 +385,7 @@ impl AsyncScd {
                 dense::axpy(1.0, &self.decoded_scratch, &mut delta);
                 scalars.push(push.round.scalars);
                 survivors.push(wid);
+                survivor_updates += push.round.updates;
                 accum.bytes_raw += 4 * len;
                 accum.bytes_encoded += upload_bytes;
             }
@@ -408,8 +413,8 @@ impl AsyncScd {
             dense::axpy(gamma as f32, &delta, &mut self.shared);
             for &wid in &survivors {
                 self.workers[wid].apply_gamma(gamma);
-                accum.updates += self.workers[wid].coords();
             }
+            accum.updates += survivor_updates;
             accum.bump_staleness(0, k_eff);
         }
         accum.applied += k_eff;
@@ -486,7 +491,7 @@ impl AsyncScd {
             accum.bump_staleness(stale, 1);
             self.master_version += 1;
             accum.applied += 1;
-            accum.updates += self.workers[worker].coords();
+            accum.updates += push.round.updates;
             accum.bytes_raw += 4 * len;
             accum.bytes_encoded += self.codec.upload_bytes(len);
             apply_host = self.cpu.host_vector_op_seconds(2 * len);

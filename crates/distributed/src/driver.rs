@@ -1117,7 +1117,7 @@ impl Solver for DistributedScd {
 
         let updates = (0..k)
             .filter(|&wid| s.committed[wid])
-            .map(|wid| self.workers[wid].coords())
+            .map(|wid| self.workers[wid].round().updates)
             .sum();
 
         // Round boundary: the aggregated model is consistent — publish it.

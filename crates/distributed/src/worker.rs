@@ -16,6 +16,8 @@ pub struct WorkerRound {
     pub scalars: WorkerScalars,
     /// Simulated time this worker spent in the round (compute + PCIe).
     pub breakdown: TimeBreakdown,
+    /// Coordinate updates the round performed, over all local passes.
+    pub updates: usize,
 }
 
 /// One worker node.
@@ -65,6 +67,7 @@ impl Worker {
                 delta_shared: Vec::new(),
                 scalars: WorkerScalars::default(),
                 breakdown: TimeBreakdown::default(),
+                updates: 0,
             },
             new_weights: Vec::new(),
             new_shared: Vec::new(),
@@ -93,7 +96,7 @@ impl Worker {
         &self.weights
     }
 
-    /// Coordinate updates this worker performs per round.
+    /// Coordinates this worker owns.
     pub fn coords(&self) -> usize {
         self.weights.len()
     }
@@ -148,6 +151,7 @@ impl Worker {
                 self.pcie.transfer_seconds(down_bytes) + self.pcie.transfer_seconds(up_bytes);
         }
         self.round.breakdown = breakdown;
+        self.round.updates = stats.updates;
         &self.round
     }
 

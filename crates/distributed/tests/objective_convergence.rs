@@ -6,15 +6,15 @@
 //!   topk-ef:64 deltas;
 //! * τ=0 bounded-staleness rounds stay bit-identical to the synchronous
 //!   barrier for the non-ridge objectives too;
-//! * the parameter-server alternative trains the classification duals;
+//! * the free-running (τ=∞) event driver trains the classification
+//!   duals with per-delta γ;
 //! * ridge through an objective-aware config replays the legacy driver
 //!   bit for bit.
 
 use scd_core::{Form, ObjectiveKind, RidgeProblem, Solver};
 use scd_datasets::dense_random;
 use scd_distributed::{
-    Aggregation, AsyncScd, DistributedConfig, DistributedScd, ParamServerConfig, ParamServerScd,
-    Staleness, WireFormat,
+    Aggregation, AsyncScd, DistributedConfig, DistributedScd, Staleness, WireFormat,
 };
 
 /// Well-conditioned two-class problem: λ large enough that every
@@ -126,25 +126,34 @@ fn ridge_objective_config_replays_the_legacy_driver() {
 }
 
 #[test]
-fn param_server_trains_the_classification_duals() {
+fn unbounded_staleness_trains_the_classification_duals() {
+    // τ=∞ applies each delta on arrival: averaging damps it by 1/K,
+    // adaptive runs the margin duals' value-oracle γ search on every
+    // single delta — a path the τ=0 replay never reaches. (Additive
+    // pushes, the parameter-server scheme, diverge on this dense
+    // problem — the hazard the paper's synchronous design avoids.)
     let full = full_problem();
     for kind in [ObjectiveKind::Logistic, ObjectiveKind::Svm] {
-        // Staleness 1: on a dense, highly-correlated problem the default
-        // snapshot age (= worker count) makes the parameter server
-        // diverge for *every* objective, ridge included — exactly the
-        // hazard the paper's synchronous design argues against.
-        let config = ParamServerConfig::new(4, Form::Dual)
-            .with_objective(kind)
-            .with_staleness(1);
-        let mut ps = ParamServerScd::new(&full, &config);
-        let initial = ps.duality_gap(&full);
-        for _ in 0..10 {
-            ps.epoch(&full);
+        for aggregation in [Aggregation::Averaging, Aggregation::Adaptive] {
+            let config = DistributedConfig::new(4, Form::Dual)
+                .with_objective(kind)
+                .with_aggregation(aggregation)
+                .with_seed(5);
+            let mut asynch = AsyncScd::new(&full, &config, Staleness::Unbounded).unwrap();
+            let initial = asynch.duality_gap(&full);
+            for _ in 0..10 {
+                asynch.epoch(&full);
+                let gamma = asynch.last_gamma();
+                assert!(
+                    gamma.is_finite() && gamma > 0.0 && gamma <= 1.0,
+                    "{kind} {aggregation:?}: γ = {gamma}"
+                );
+            }
+            let last = asynch.duality_gap(&full);
+            assert!(
+                last.is_finite() && last >= 0.0 && last < 0.5 * initial,
+                "{kind} {aggregation:?}: tau=inf gap {initial} -> {last}"
+            );
         }
-        let last = ps.duality_gap(&full);
-        assert!(
-            last.is_finite() && last >= 0.0 && last < 0.5 * initial,
-            "{kind}: param-server gap {initial} -> {last}"
-        );
     }
 }

@@ -51,6 +51,12 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench smoke test"
+# The repository benchmark is a package of its own that path-depends on
+# crates/: build and smoke-run it, so a change to a crate it uses cannot
+# break the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q -p scd-wire"
 cargo test -q -p scd-wire
 

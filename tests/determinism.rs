@@ -4,14 +4,12 @@
 //! figure CSVs stable artifacts rather than single samples.
 
 use std::sync::Arc;
-use tpa_scd::core::extensions::{ElasticNetCd, LogisticSdca, SdcaSvm};
+use tpa_scd::core::extensions::ElasticNetCd;
 use tpa_scd::core::{
-    AsyncSimScd, Form, MiniBatchSdca, RidgeProblem, SequentialScd, Solver, TpaScd,
+    AsyncSimScd, Form, MiniBatchSdca, ObjectiveKind, RidgeProblem, SequentialScd, Solver, TpaScd,
 };
 use tpa_scd::datasets::{criteo_like, scale_values, webspam_like};
-use tpa_scd::distributed::{
-    Aggregation, DistributedConfig, DistributedScd, ParamServerConfig, ParamServerScd,
-};
+use tpa_scd::distributed::{Aggregation, AsyncScd, DistributedConfig, DistributedScd, Staleness};
 use tpa_scd::gpu::{Gpu, GpuProfile};
 
 fn problem() -> RidgeProblem {
@@ -77,12 +75,14 @@ fn distributed_cluster_is_deterministic() {
         &p,
         5,
     );
+    // Free-running event rounds under a 4x straggler: arrival order, and
+    // so the trajectory, comes from the simulated clock alone.
     run_twice(
         || {
-            let config = ParamServerConfig::new(3, Form::Primal)
-                .with_chunk(8)
+            let config = DistributedConfig::new(3, Form::Primal)
+                .with_worker_slowdowns(vec![4.0])
                 .with_seed(8);
-            ParamServerScd::new(&p, &config)
+            AsyncScd::new(&p, &config, Staleness::Unbounded).unwrap()
         },
         &p,
         5,
@@ -97,20 +97,15 @@ fn extension_solvers_are_deterministic() {
         let b = f();
         assert_eq!(a, b);
     };
-    run_pair(&mut || {
-        let mut s = SdcaSvm::new(&p, 4);
-        for _ in 0..4 {
-            s.epoch(&p);
-        }
-        s.weights().to_vec()
-    });
-    run_pair(&mut || {
-        let mut s = LogisticSdca::new(&p, 4);
-        for _ in 0..4 {
-            s.epoch(&p);
-        }
-        s.weights().to_vec()
-    });
+    for objective in [ObjectiveKind::Svm, ObjectiveKind::Logistic] {
+        run_pair(&mut || {
+            let mut s = SequentialScd::dual(&p, 4).with_objective(objective);
+            for _ in 0..4 {
+                s.epoch(&p);
+            }
+            s.weights()
+        });
+    }
     run_pair(&mut || {
         let mut s = ElasticNetCd::new(&p, 0.5, 4);
         for _ in 0..4 {
